@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check overload bench bench-json speedup telemetry-bench statplane-bench lifecycle-bench
+.PHONY: build test race vet check overload bench bench-json speedup telemetry-bench statplane-bench lifecycle-bench sim-bench
 
 build:
 	$(GO) build ./...
@@ -62,3 +62,13 @@ statplane-bench:
 	$(GO) test -run='^$$' -bench='ReportEncode$$|ReportDecode$$|IntervalAssemble$$' -benchtime=100000x \
 		./internal/statplane/ | grep '^{' > BENCH_statplane.json
 	cat BENCH_statplane.json
+
+# Simulator event core: wall time, requests, engine events and heap
+# allocations per simulated second of the Social Network at 300 rps, over
+# 2000 simulated seconds; the {"bench":"sim_throughput",...} line of that
+# run (not of the one-iteration probe run before it) lands in
+# BENCH_sim.json.
+sim-bench:
+	$(GO) test -run='^$$' -bench='SimulatorThroughput$$' -benchtime=2000x \
+		| grep -o '{"bench":"sim_throughput".*}' | tail -1 > BENCH_sim.json
+	cat BENCH_sim.json

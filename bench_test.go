@@ -76,20 +76,36 @@ func BenchmarkAblations(b *testing.B)                { runExperiment(b, "ablatio
 // --- micro-benchmarks of the substrates ---
 
 // BenchmarkSimulatorThroughput measures raw request execution through the
-// Social Network call trees (events/sec of the discrete-event core).
+// Social Network call trees at 300 rps, one simulated second per
+// iteration: wall time, requests, engine events and heap allocations per
+// simulated second, also printed as one JSON line (make sim-bench).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	app := apps.NewSocialNetwork()
 	eng := &sim.Engine{}
 	cl := cluster.New(eng, sim.NewRNG(1), app.Tiers)
 	gen := workload.NewGenerator(cl, app, sim.NewRNG(2), workload.Constant(300))
 	gen.Start()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	events := eng.Fired()
 	b.ResetTimer()
+	start := time.Now()
 	horizon := 0.0
 	for i := 0; i < b.N; i++ {
 		horizon += 1.0
 		eng.Run(horizon) // one simulated second per iteration
 	}
+	wall := time.Since(start)
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	requests := float64(cl.Completed())
+	allocsPerReq := float64(after.Mallocs-before.Mallocs) / requests
+	eventsPerSec := float64(eng.Fired()-events) / float64(b.N)
 	b.ReportMetric(float64(gen.Submitted())/float64(b.N), "requests/simsec")
+	b.ReportMetric(eventsPerSec, "events/simsec")
+	b.ReportMetric(allocsPerReq, "allocs/request")
+	fmt.Printf("{\"bench\":\"sim_throughput\",\"rps\":300,\"simsec\":%d,\"ms_per_simsec\":%.3f,\"requests_per_simsec\":%.1f,\"events_per_simsec\":%.0f,\"allocs_per_request\":%.3f}\n",
+		b.N, float64(wall.Microseconds())/1000/float64(b.N), requests/float64(b.N), eventsPerSec, allocsPerReq)
 }
 
 // BenchmarkCNNInference measures one scheduler-sized model query (the

@@ -36,6 +36,8 @@ type Cluster struct {
 	rng    *sim.RNG
 	tiers  []*Tier
 	byName map[string]*Tier
+	plans  map[*Stage]*node // submitted call trees, resolved to tiers
+	frames []*frame         // free list of stage-execution frames
 
 	completed   int64
 	droppedReqs int64
@@ -50,7 +52,7 @@ type Cluster struct {
 // New creates a cluster with the given tier configurations. Tier order is
 // preserved and becomes the row order of model inputs.
 func New(eng *sim.Engine, rng *sim.RNG, cfgs []TierConfig) *Cluster {
-	c := &Cluster{Eng: eng, rng: rng, byName: make(map[string]*Tier, len(cfgs))}
+	c := &Cluster{Eng: eng, rng: rng, byName: make(map[string]*Tier, len(cfgs)), plans: map[*Stage]*node{}}
 	for i, cfg := range cfgs {
 		if _, dup := c.byName[cfg.Name]; dup {
 			panic(fmt.Sprintf("cluster: duplicate tier %q", cfg.Name))

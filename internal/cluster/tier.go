@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -87,22 +86,57 @@ func (c TierConfig) withDefaults() TierConfig {
 // job admitted at V0 with demand w completes when V reaches V0 + w.
 type psJob struct {
 	vFinish float64
-	done    func()
+	f       *frame // the stage whose work this is
 }
 
-type jobHeap []*psJob
+// jobHeap is a min-heap of jobs on vFinish. Its sifts make exactly the
+// comparisons and moves container/heap's do, so jobs with equal vFinish
+// still pop in the order they always have.
+type jobHeap []psJob
 
-func (h jobHeap) Len() int            { return len(h) }
-func (h jobHeap) Less(i, j int) bool  { return h[i].vFinish < h[j].vFinish }
-func (h jobHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x interface{}) { *h = append(*h, x.(*psJob)) }
-func (h *jobHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
+func (h *jobHeap) push(j psJob) {
+	*h = append(*h, j)
+	a := *h
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(j.vFinish < a[p].vFinish) {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = j
+}
+
+func (h *jobHeap) pop() psJob {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	j := a[n]
+	a[n] = psJob{}
+	a = a[:n]
+	*h = a
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && a[r].vFinish < a[c].vFinish {
+			c = r
+		}
+		if !(a[c].vFinish < j.vFinish) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	a[i] = j
+	return top
 }
 
 // Tier is the runtime state of one microservice tier.
@@ -118,11 +152,12 @@ type Tier struct {
 	active     jobHeap
 	vwork      float64 // virtual work: ∫ per-job rate dt
 	lastUpdate float64
-	completion *sim.Event
+	completion *sim.Slot // the next job completion, moved as the active set changes
+	done       []*frame  // complete's scratch: the jobs it retires
 
 	slots   int
 	inUse   int
-	waitq   []func() // waiting slot acquisitions, FIFO from qhead
+	waitq   []*frame // stages waiting for a slot, FIFO from qhead
 	qhead   int
 	dropped int64
 
@@ -152,6 +187,7 @@ func newTier(eng *sim.Engine, rng *sim.RNG, cfg TierConfig, index int) *Tier {
 		alive:    1,
 		slots:    cfg.ConnsPerReplica * cfg.Replicas,
 	}
+	t.completion = sim.NewSlot(t.complete)
 	if cfg.StallInterval > 0 {
 		eng.After(cfg.StallInterval, t.stall)
 	}
@@ -261,64 +297,66 @@ func (t *Tier) advance() {
 	t.busyCPU += math.Min(t.effCPU(), float64(n)) * dt
 }
 
-// reschedule recomputes the next completion event after any change to the
-// active set, the CPU limit, or the stall state.
+// reschedule moves the completion slot to the next job completion after
+// any change to the active set, the CPU limit, or the stall state, or takes
+// it out of the queue while no job can progress.
 func (t *Tier) reschedule() {
-	t.eng.Cancel(t.completion)
-	t.completion = nil
 	r := t.rate()
 	if r == 0 || len(t.active) == 0 {
+		t.eng.Remove(t.completion)
 		return
 	}
 	d := (t.active[0].vFinish - t.vwork) / r
 	if d < 0 {
 		d = 0
 	}
-	t.completion = t.eng.After(d, t.complete)
+	t.eng.Move(t.completion, t.eng.Now()+d)
 }
 
 // complete retires all jobs whose work has finished.
 func (t *Tier) complete() {
 	t.advance()
-	var done []func()
+	done := t.done[:0]
 	for len(t.active) > 0 && t.active[0].vFinish <= t.vwork+workEps {
-		j := heap.Pop(&t.active).(*psJob)
-		done = append(done, j.done)
+		done = append(done, t.active.pop().f)
 	}
 	t.reschedule()
-	for _, fn := range done {
-		fn()
+	for i, f := range done {
+		done[i] = nil
+		f.workDone()
 	}
+	t.done = done[:0]
 }
 
-// execWork runs cpuSeconds of CPU demand under processor sharing and calls
-// done when it completes. Zero work completes via an immediate event to keep
-// callback ordering uniform.
-func (t *Tier) execWork(cpuSeconds float64, done func()) {
+// execWork runs cpuSeconds of CPU demand for f under processor sharing and
+// calls f.workDone when it completes. Zero work completes via an immediate
+// event to keep callback ordering uniform.
+func (t *Tier) execWork(cpuSeconds float64, f *frame) {
 	if cpuSeconds <= 0 {
-		t.eng.After(0, done)
+		t.eng.After(0, f.workDone)
 		return
 	}
 	t.advance()
-	heap.Push(&t.active, &psJob{vFinish: t.vwork + cpuSeconds, done: done})
+	t.active.push(psJob{vFinish: t.vwork + cpuSeconds, f: f})
 	t.servedIntv++
 	t.servedTotal++
 	t.reschedule()
 }
 
-// acquireSlot obtains a connection slot, queueing if the pool is saturated.
-// It reports false if the admission queue is full and the request is dropped.
-func (t *Tier) acquireSlot(granted func()) bool {
+// acquireSlot obtains a connection slot for f, admitting it at once or
+// queueing it if the pool is saturated. It reports false if the admission
+// queue is full and the request is dropped.
+func (t *Tier) acquireSlot(f *frame) bool {
 	if t.inUse < t.effSlots() {
 		t.inUse++
-		granted()
+		f.admit()
 		return true
 	}
 	if t.QueueLen() >= t.cfg.MaxQueue {
 		t.dropped++
 		return false
 	}
-	t.waitq = append(t.waitq, granted)
+	t.waitq = append(t.waitq, f)
 	if t.QueueLen() > t.maxQueueLen {
 		t.maxQueueLen = t.QueueLen()
 	}
@@ -346,7 +384,7 @@ func (t *Tier) pumpWaiters() {
 			t.qhead = 0
 		}
 		t.inUse++
-		next()
+		next.admit()
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"sinan/internal/cluster"
@@ -249,6 +250,59 @@ func TestSchedulerSurvivesTotalStatsBlackout(t *testing.T) {
 	for i, n := range s.staleFor {
 		if n != 0 {
 			t.Fatalf("tier %d staleness survived recovery: %d", i, n)
+		}
+	}
+}
+
+// poisonModel wraps the deterministic fakeModel and overwrites every
+// prediction with one non-finite value.
+type poisonModel struct {
+	inner  *fakeModel
+	poison float64
+	lat    bool // poison latencies; otherwise violation probabilities
+}
+
+func (p *poisonModel) Meta() ModelMeta { return p.inner.Meta() }
+
+func (p *poisonModel) PredictBatch(ctx *PredictContext, in nn.Inputs) (*tensor.Dense, []float64, error) {
+	pred, pv, err := p.inner.PredictBatch(ctx, in)
+	if p.lat {
+		for i := range pred.Data {
+			pred.Data[i] = p.poison
+		}
+	} else {
+		for i := range pv {
+			pv[i] = p.poison
+		}
+	}
+	return pred, pv, err
+}
+
+// A NaN or infinite model reply passes every ">=" and ">" filter, so it
+// must be treated as a predictor error: the scheduler falls back to its
+// degraded policy and never lowers the total allocation on it.
+func TestSchedulerNonFinitePredictionFailsSafe(t *testing.T) {
+	app := testApp()
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, lat := range []bool{true, false} {
+			d := nn.Dims{N: len(app.Tiers), T: 5, F: 6, M: 5}
+			// needCores 0: every candidate looks safe to the inner model, so
+			// only the poison stands between the scheduler and reclamation.
+			m := &poisonModel{inner: &fakeModel{d: d, qos: 200, rmse: 10}, poison: poison, lat: lat}
+			s := NewScheduler(app, m, SchedulerOptions{})
+			alloc := mkAlloc(app, 4)
+			for i := 0; i < d.T+6; i++ {
+				dec := s.Decide(stateFor(app, 20, alloc, 0.1))
+				if total(dec.Alloc) < total(alloc) {
+					t.Fatalf("poison %v (latency %v), interval %d: allocation fell %v → %v",
+						poison, lat, i, total(alloc), total(dec.Alloc))
+				}
+				alloc = dec.Alloc
+			}
+			if n := s.Metrics().Counter("sched.predict.nonfinite").Value(); n == 0 || !s.Degraded() {
+				t.Fatalf("poison %v (latency %v): nonfinite=%d degraded=%v, want counted and degraded",
+					poison, lat, n, s.Degraded())
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"time"
@@ -202,6 +203,7 @@ type Scheduler struct {
 	mispredictions    *telemetry.Counter
 	predictErrors     *telemetry.Counter
 	predictSheds      *telemetry.Counter
+	predictNonFinite  *telemetry.Counter
 	degradedIntervals *telemetry.Counter
 	recoveries        *telemetry.Counter
 	brownoutIntervals *telemetry.Counter
@@ -281,6 +283,7 @@ func (s *Scheduler) AttachMetrics(reg *telemetry.Registry) {
 	s.mispredictions = reg.Counter("sched.mispredictions")
 	s.predictErrors = reg.Counter("sched.predict.errors")
 	s.predictSheds = reg.Counter("sched.predict.sheds")
+	s.predictNonFinite = reg.Counter("sched.predict.nonfinite")
 	s.degradedIntervals = reg.Counter("sched.degraded.intervals")
 	s.recoveries = reg.Counter("sched.degraded.recoveries")
 	s.brownoutIntervals = reg.Counter("sched.brownout.intervals")
@@ -324,7 +327,8 @@ func (s *Scheduler) RefreshMeta() {
 // predict (the trust-erosion signal of Sec. 4.3).
 func (s *Scheduler) Mispredictions() int { return int(s.mispredictions.Value()) }
 
-// PredictErrors returns the count of model queries that returned an error.
+// PredictErrors returns the count of model queries that returned an error
+// or a non-finite prediction.
 func (s *Scheduler) PredictErrors() int { return int(s.predictErrors.Value()) }
 
 // PredictSheds returns the count of predictor errors classified as load
@@ -435,6 +439,13 @@ func (s *Scheduler) Decide(st runner.State) runner.Decision {
 	s.candidatesScored.Add(int64(len(cands)))
 	s.candBatch.Observe(float64(len(cands)))
 	pred, pviol, err := s.predictCandidates(cands, d)
+	if err == nil && !allFinite(pred.Data, pviol) {
+		// Every selection filter compares with >= or >, and both are false
+		// for NaN, so a non-finite reply would let the cheapest reclamation
+		// through. It is a predictor error like any other.
+		s.predictNonFinite.Inc()
+		err = errNonFinite
+	}
 	if err != nil {
 		// Model path unavailable: degrade to the conservative built-in
 		// policy instead of crashing. Every interval retries the model (the
@@ -884,6 +895,24 @@ func (s *Scheduler) predictCandidates(cands []candidate, d nn.Dims) (*tensor.Den
 	pred, pviol, err := PredictSharedAuto(s.M, s.predCtx, in)
 	s.predictLatMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return pred, pviol, err
+}
+
+var errNonFinite = errors.New("core: model returned a non-finite prediction")
+
+// allFinite reports whether every latency and violation probability in a
+// model reply is a finite number.
+func allFinite(lat, pviol []float64) bool {
+	for _, v := range lat {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	for _, v := range pviol {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // selectCandidate applies the filters of Sec. 4.3 and returns the index of

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -54,14 +55,169 @@ func TestEngineAfterAndNesting(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
+func TestEngineSlotRemove(t *testing.T) {
 	var e Engine
 	fired := false
-	ev := e.At(1, func() { fired = true })
-	e.Cancel(ev)
+	s := NewSlot(func() { fired = true })
+	e.Move(s, 1)
+	if s.pos == 0 || e.Pending() != 1 {
+		t.Fatalf("moved slot: queued=%v pending=%d", s.pos > 0, e.Pending())
+	}
+	e.Remove(s)
+	if s.pos > 0 || e.Pending() != 0 {
+		t.Fatalf("removed slot: queued=%v pending=%d", s.pos > 0, e.Pending())
+	}
 	e.Run(2)
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("removed slot fired")
+	}
+}
+
+// A slot is queued at most once: moving it again replaces its time, and it
+// fires once, at the last time it was moved to.
+func TestEngineSlotMoveInPlace(t *testing.T) {
+	var e Engine
+	var fired []float64
+	s := NewSlot(func() { fired = append(fired, e.Now()) })
+	e.Move(s, 5)
+	e.Move(s, 2)
+	e.Move(s, 3)
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after three moves, want 1", e.Pending())
+	}
+	e.Run(10)
+	if len(fired) != 1 || fired[0] != 3 {
+		t.Fatalf("slot fired at %v, want once at 3", fired)
+	}
+	if s.pos > 0 {
+		t.Fatal("a fired slot must not stay queued")
+	}
+}
+
+// A move takes a fresh sequence number, exactly as At does: the slot fires
+// after events already scheduled for the same time and before later ones.
+func TestEngineSlotMoveTakesFreshSeq(t *testing.T) {
+	var e Engine
+	var got []string
+	s := NewSlot(func() { got = append(got, "slot") })
+	e.Move(s, 1)
+	e.At(1, func() { got = append(got, "a") })
+	e.Move(s, 1)
+	e.At(1, func() { got = append(got, "b") })
+	e.Run(2)
+	if len(got) != 3 || got[0] != "a" || got[1] != "slot" || got[2] != "b" {
+		t.Fatalf("firing order %v, want [a slot b]", got)
+	}
+}
+
+// A slot may be re-armed from its own callback (a tier scheduling its next
+// completion while retiring the current one).
+func TestEngineSlotRearmsFromCallback(t *testing.T) {
+	var e Engine
+	n := 0
+	var s *Slot
+	s = NewSlot(func() {
+		n++
+		if n < 3 {
+			e.Move(s, e.Now()+1)
+		}
+	})
+	e.Move(s, 1)
+	e.Run(10)
+	if n != 3 || s.pos > 0 {
+		t.Fatalf("fired %d times (queued=%v), want 3", n, s.pos > 0)
+	}
+}
+
+func TestEngineSlotMovePastPanics(t *testing.T) {
+	var e Engine
+	e.Run(3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("moving a slot into the past should panic")
+		}
+	}()
+	e.Move(NewSlot(func() {}), 1)
+}
+
+func TestEngineSlotRemoveUnqueued(t *testing.T) {
+	var e Engine
+	e.Remove(NewSlot(func() {})) // must not panic
+	if e.Pending() != 0 {
+		t.Fatal("pending after removing an unqueued slot")
+	}
+}
+
+// Property: for any sequence of schedules, slot moves and slot removals,
+// events fire in exactly the (time, seq) order of a reference sort of the
+// live schedule, and removed or superseded slot times never fire.
+func TestEngineHeapOrderProperty(t *testing.T) {
+	type op struct {
+		Kind uint8 // 0–1: At; 2: move a slot; 3: remove a slot
+		Slot uint8
+		Time uint8 // coarse times, so ties are common
+	}
+	type want struct {
+		time float64
+		seq  int
+		id   string
+	}
+	f := func(ops []op) bool {
+		var e Engine
+		var fired []string
+		slots := make([]*Slot, 4)
+		live := map[string]want{}
+		seq := 0
+		slotID := func(k int) string { return "slot" + strconv.Itoa(k) }
+		for i := range slots {
+			id := slotID(i)
+			slots[i] = NewSlot(func() { fired = append(fired, id) })
+		}
+		for i, o := range ops {
+			tm := float64(o.Time % 16)
+			switch o.Kind % 4 {
+			case 0, 1:
+				id := "at" + strconv.Itoa(i)
+				e.At(tm, func() { fired = append(fired, id) })
+				live[id] = want{tm, seq, id}
+				seq++
+			case 2:
+				k := int(o.Slot) % len(slots)
+				e.Move(slots[k], tm)
+				live[slotID(k)] = want{tm, seq, slotID(k)}
+				seq++
+			case 3:
+				k := int(o.Slot) % len(slots)
+				e.Remove(slots[k])
+				delete(live, slotID(k))
+			}
+		}
+		if e.Pending() != len(live) {
+			return false
+		}
+		ref := make([]want, 0, len(live))
+		for _, w := range live {
+			ref = append(ref, w)
+		}
+		sort.Slice(ref, func(a, b int) bool {
+			if ref[a].time != ref[b].time {
+				return ref[a].time < ref[b].time
+			}
+			return ref[a].seq < ref[b].seq
+		})
+		e.Run(100)
+		if len(fired) != len(ref) {
+			return false
+		}
+		for i := range ref {
+			if fired[i] != ref[i].id {
+				return false
+			}
+		}
+		return e.Pending() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -115,8 +271,9 @@ func TestEngineStep(t *testing.T) {
 	var e Engine
 	n := 0
 	e.At(1, func() { n++ })
-	ev := e.At(2, func() { n++ })
-	e.Cancel(ev)
+	s := NewSlot(func() { n++ })
+	e.Move(s, 2)
+	e.Remove(s)
 	e.At(3, func() { n++ })
 	steps := 0
 	for e.Step() {
@@ -263,13 +420,5 @@ func TestRNGNormalMoments(t *testing.T) {
 	sd := math.Sqrt(sumsq/n - mean*mean)
 	if math.Abs(mean-5) > 0.05 || math.Abs(sd-2) > 0.05 {
 		t.Fatalf("normal moments: mean=%v sd=%v", mean, sd)
-	}
-}
-
-func TestEngineCancelNilSafe(t *testing.T) {
-	var e Engine
-	e.Cancel(nil) // must not panic
-	if e.Pending() != 0 {
-		t.Fatal("pending after nil cancel")
 	}
 }

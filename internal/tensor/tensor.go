@@ -154,19 +154,28 @@ func MatMulInto(dst, a, b *Dense) {
 }
 
 func matMulRows(dst, a, b *Dense, k, n, start, end int) {
-	for i := start; i < end; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := dst.Data[i*n : (i+1)*n]
+	if start >= end || n == 0 {
+		return
+	}
+	gemmRows(dst.Data[start*n:end*n], a.Data[start*k:end*k], b.Data[:k*n], k, n)
+}
+
+// gemmRowsGo computes the len(c)/n rows of c = a·b for a [·, k] and b
+// [k, n]. It is the portable gemmRows and the reference its assembly
+// version is tested against.
+func gemmRowsGo(c, a, b []float64, k, n int) {
+	for i := 0; i < len(c)/n; i++ {
+		arow := a[i*k : (i+1)*k]
+		crow := c[i*n : (i+1)*n]
 		for j := range crow {
 			crow[j] = 0
 		}
-		for p := 0; p < k; p++ {
-			av := arow[p]
+		for p, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
+			brow := b[p*n : (p+1)*n]
+			for j := range crow {
 				crow[j] += av * brow[j]
 			}
 		}

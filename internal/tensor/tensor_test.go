@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -297,4 +298,43 @@ func TestView(t *testing.T) {
 		}
 	}()
 	View(nil, data, 4, 2)
+}
+
+// gemmRows must be bit-identical to the portable kernel on every shape,
+// including the zero, negative-zero, NaN and infinite entries the zero
+// skip has to treat exactly as Go's == does.
+func TestGemmRowsMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), 1e-300}
+	val := func() float64 {
+		if rng.Intn(4) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64()
+	}
+	for trial := 0; trial < 500; trial++ {
+		rows, k, n := 1+rng.Intn(5), rng.Intn(7), 1+rng.Intn(9)
+		a, b := make([]float64, rows*k), make([]float64, k*n)
+		for i := range a {
+			a[i] = val()
+		}
+		for i := range b {
+			b[i] = val()
+		}
+		got, want := make([]float64, rows*n), make([]float64, rows*n)
+		for i := range got {
+			got[i], want[i] = val(), val() // both kernels must overwrite
+		}
+		gemmRows(got, a, b, k, n)
+		gemmRowsGo(want, a, b, k, n)
+		for i := range got {
+			// NaN payloads are unspecified (the compiler's operand order
+			// decides which one survives), so any NaN matches any NaN.
+			bothNaN := math.IsNaN(got[i]) && math.IsNaN(want[i])
+			if !bothNaN && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("rows=%d k=%d n=%d: c[%d] = %v (%x), want %v (%x)",
+					rows, k, n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
 }

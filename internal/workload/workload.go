@@ -80,6 +80,10 @@ type Generator struct {
 	typeCounts []int64
 	submitted  int64
 	stopped    bool
+
+	// callbacks bound once, so arrivals and completions allocate nothing
+	next, arrive func()
+	record       func(latSec float64, dropped bool)
 }
 
 // NewGenerator creates a generator; call Start to begin injecting load.
@@ -89,6 +93,7 @@ func NewGenerator(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, p Pattern) *
 		Window:     &metrics.LatencyWindow{},
 		typeCounts: make([]int64, len(app.Requests)),
 	}
+	g.next, g.arrive, g.record = g.scheduleNext, g.onArrival, g.onDone
 	total := app.TotalWeight()
 	cum := 0.0
 	for _, r := range app.Requests {
@@ -132,19 +137,22 @@ func (g *Generator) scheduleNext() {
 	rate := g.pattern.RPS(g.eng.Now())
 	if rate <= 0 {
 		// Idle: poll again shortly for the pattern to come back.
-		g.eng.After(0.1, g.scheduleNext)
+		g.eng.After(0.1, g.next)
 		return
 	}
-	g.eng.After(g.rng.Exp(1/rate), func() {
-		if g.stopped {
-			return
-		}
-		g.submitOne()
-		g.scheduleNext()
-	})
+	g.eng.After(g.rng.Exp(1/rate), g.arrive)
 }
 
-func (g *Generator) submitOne() {
+func (g *Generator) onArrival() {
+	if g.stopped {
+		return
+	}
+	g.cl.Submit(g.pick(), g.record)
+	g.scheduleNext()
+}
+
+// pick draws the next request type from the mix and counts it.
+func (g *Generator) pick() *cluster.Stage {
 	u := g.rng.Float64()
 	idx := len(g.cumWeights) - 1
 	for i, c := range g.cumWeights {
@@ -155,13 +163,16 @@ func (g *Generator) submitOne() {
 	}
 	g.submitted++
 	g.typeCounts[idx]++
-	g.cl.Submit(g.trees[idx], func(latSec float64, dropped bool) {
-		if dropped {
-			g.Window.RecordDrop()
-			return
-		}
-		g.Window.Record(latSec * 1000)
-	})
+	return g.trees[idx]
+}
+
+// onDone records one request's outcome in the latency window.
+func (g *Generator) onDone(latSec float64, dropped bool) {
+	if dropped {
+		g.Window.RecordDrop()
+		return
+	}
+	g.Window.Record(latSec * 1000)
 }
 
 // ClosedLoop emulates a fixed population of users that each issue a request,
@@ -172,15 +183,21 @@ type ClosedLoop struct {
 	ThinkMean float64
 
 	gen *Generator
+
+	// callbacks bound once, so a user's cycle allocates nothing
+	issue  func()
+	record func(latSec float64, dropped bool)
 }
 
 // NewClosedLoop wraps a generator's request mix with closed-loop users.
 func NewClosedLoop(cl *cluster.Cluster, app *apps.App, rng *sim.RNG, users int, thinkMean float64) *ClosedLoop {
-	return &ClosedLoop{
+	c := &ClosedLoop{
 		Users:     users,
 		ThinkMean: thinkMean,
 		gen:       NewGenerator(cl, app, rng, Constant(0)),
 	}
+	c.issue, c.record = c.loop, c.onDone
+	return c
 }
 
 // Window exposes the latency sink shared by all users.
@@ -196,26 +213,12 @@ func (c *ClosedLoop) Start() {
 	}
 }
 
-func (c *ClosedLoop) loop() {
-	g := c.gen
-	u := g.rng.Float64()
-	idx := len(g.cumWeights) - 1
-	for i, cw := range g.cumWeights {
-		if u <= cw {
-			idx = i
-			break
-		}
-	}
-	g.submitted++
-	g.typeCounts[idx]++
-	g.cl.Submit(g.trees[idx], func(latSec float64, dropped bool) {
-		if dropped {
-			g.Window.RecordDrop()
-		} else {
-			g.Window.Record(latSec * 1000)
-		}
-		g.eng.After(g.rng.Exp(c.ThinkMean), c.loop)
-	})
+func (c *ClosedLoop) loop() { c.gen.cl.Submit(c.gen.pick(), c.record) }
+
+// onDone records a user's response, then thinks before the next request.
+func (c *ClosedLoop) onDone(latSec float64, dropped bool) {
+	c.gen.onDone(latSec, dropped)
+	c.gen.eng.After(c.gen.rng.Exp(c.ThinkMean), c.issue)
 }
 
 // Replay is a pattern that replays a recorded per-second RPS series (e.g.
